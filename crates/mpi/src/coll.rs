@@ -28,7 +28,9 @@
 //! communicator and [`SubComm`](crate::subcomm::SubComm) share one
 //! implementation. Callers allocate the collective's tag `base` and have
 //! already recorded the user-level primitive; this module only moves
-//! bytes.
+//! bytes. Like the flat bodies in `comm`, every function is `async`, so
+//! the event engine runs the same code as the blocking backends; only
+//! the receives inside know which engine is waiting.
 //!
 //! ## Tag budget (offsets within one 1024-tag collective base)
 //!
@@ -102,8 +104,8 @@ fn n_chunks(count: usize, chunk: usize) -> usize {
 /// copy of the payload — the flat binomial root carries log₂(p). Every
 /// participant must know `count` (the dispatch's header broadcast
 /// guarantees it); `root`/`me` are positions into `members`.
-pub(crate) fn chunked_bcast<T: Datatype>(
-    comm: &mut Comm,
+pub(crate) async fn chunked_bcast<T: Datatype>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: Option<&[T]>,
@@ -137,7 +139,7 @@ pub(crate) fn chunked_bcast<T: Datatype>(
         let payload = match (prev, data) {
             (None, Some(d)) => encode_slice(&d[lo..hi]),
             (Some(src), _) => {
-                let env = comm.coll_recv_raw::<T>(src, base + c as u64)?;
+                let env = comm.coll_recv_raw::<T>(src, base + c as u64).await?;
                 if env.payload.len() != (hi - lo) * T::SIZE {
                     return Err(Error::InvalidArgument("bcast chunk length mismatch".into()));
                 }
@@ -166,8 +168,8 @@ pub(crate) fn chunked_bcast<T: Datatype>(
 /// accumulator streamed upward chunk by chunk (tag
 /// `base + c*16 + round`). Bit-identical to the flat reduction for every
 /// operator and element type. Returns `Some` only at `root`.
-pub(crate) fn chunked_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
-    comm: &mut Comm,
+pub(crate) async fn chunked_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: &[T],
@@ -206,7 +208,7 @@ pub(crate) fn chunked_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
         // Fold children in round order — exactly the flat fold order,
         // restricted to this chunk's elements.
         for &(child, r) in &children {
-            let part = comm.coll_recv::<T>(child, base + c as u64 * 16 + r)?;
+            let part = comm.coll_recv::<T>(child, base + c as u64 * 16 + r).await?;
             if part.len() != hi - lo {
                 return Err(Error::InvalidArgument(
                     "reduce contributions differ in length".into(),
@@ -329,8 +331,8 @@ impl HierTopo {
 /// Binomial-tree broadcast of an already-encoded payload over an
 /// arbitrary world-rank list; `me`/`root` are indices into `list`.
 /// Returns the payload this rank ends up holding.
-pub(crate) fn tree_bcast_bytes<T: Datatype>(
-    comm: &mut Comm,
+pub(crate) async fn tree_bcast_bytes<T: Datatype>(
+    comm: &mut Comm<'_>,
     list: &[usize],
     me: usize,
     root: usize,
@@ -344,7 +346,10 @@ pub(crate) fn tree_bcast_bytes<T: Datatype>(
     while mask < p {
         if vrank & mask != 0 {
             let parent = list[(vrank - mask + root) % p];
-            payload = comm.coll_recv_raw::<T>(parent, base + recv_bit)?.payload;
+            payload = comm
+                .coll_recv_raw::<T>(parent, base + recv_bit)
+                .await?
+                .payload;
             break;
         }
         mask <<= 1;
@@ -372,8 +377,8 @@ pub(crate) fn tree_bcast_bytes<T: Datatype>(
 
 /// Binomial-tree reduction over an arbitrary world-rank list; returns
 /// `Some` only at `root` (an index into `list`).
-fn tree_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
-    comm: &mut Comm,
+async fn tree_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
+    comm: &mut Comm<'_>,
     list: &[usize],
     me: usize,
     root: usize,
@@ -394,7 +399,9 @@ fn tree_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
         }
         let child = vrank + mask;
         if child < p {
-            let part = comm.coll_recv::<T>(list[(child + root) % p], base + round)?;
+            let part = comm
+                .coll_recv::<T>(list[(child + root) % p], base + round)
+                .await?;
             if part.len() != acc.len() {
                 return Err(Error::InvalidArgument(
                     "reduce contributions differ in length".into(),
@@ -414,18 +421,27 @@ fn tree_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
 
 /// Node-aware barrier: intra-node fan-in to each leader, dissemination
 /// barrier among leaders over the inter-node links, intra-node release.
-pub(crate) fn hier_barrier(comm: &mut Comm, members: &[usize], me: usize, base: u64) -> Result<()> {
+pub(crate) async fn hier_barrier(
+    comm: &mut Comm<'_>,
+    members: &[usize],
+    me: usize,
+    base: u64,
+) -> Result<()> {
     let topo = HierTopo::build(comm, members, me, 0);
     let leader = topo.my_leader();
     if me != leader {
         comm.coll_send::<u8>(&[], members[leader], base + T_INTRA_FANIN)?;
-        let _ = comm.coll_recv::<u8>(members[leader], base + T_INTRA_RELEASE)?;
+        let _ = comm
+            .coll_recv::<u8>(members[leader], base + T_INTRA_RELEASE)
+            .await?;
         return Ok(());
     }
     let my_members: Vec<usize> = topo.groups[topo.my_group].clone();
     for &pos in &my_members {
         if pos != me {
-            let _ = comm.coll_recv::<u8>(members[pos], base + T_INTRA_FANIN)?;
+            let _ = comm
+                .coll_recv::<u8>(members[pos], base + T_INTRA_FANIN)
+                .await?;
         }
     }
     let l = topo.leaders.len();
@@ -435,7 +451,9 @@ pub(crate) fn hier_barrier(comm: &mut Comm, members: &[usize], me: usize, base: 
         let to = members[topo.leaders[(topo.my_group + dist) % l]];
         let from = members[topo.leaders[(topo.my_group + l - dist) % l]];
         comm.coll_send::<u8>(&[], to, base + T_INTER_BARRIER + round)?;
-        let _ = comm.coll_recv::<u8>(from, base + T_INTER_BARRIER + round)?;
+        let _ = comm
+            .coll_recv::<u8>(from, base + T_INTER_BARRIER + round)
+            .await?;
         dist <<= 1;
         round += 1;
     }
@@ -450,8 +468,8 @@ pub(crate) fn hier_barrier(comm: &mut Comm, members: &[usize], me: usize, base: 
 /// Node-aware broadcast: one inter-node binomial tree over the leaders,
 /// then an intra-node binomial tree inside each group. The payload
 /// crosses each inter-node link exactly once.
-pub(crate) fn hier_bcast<T: Datatype>(
-    comm: &mut Comm,
+pub(crate) async fn hier_bcast<T: Datatype>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: Option<&[T]>,
@@ -477,7 +495,8 @@ pub(crate) fn hier_bcast<T: Datatype>(
             root_g,
             base + T_INTER_TREE,
             payload,
-        )?;
+        )
+        .await?;
     }
     let group = topo.group_world(members);
     payload = tree_bcast_bytes::<T>(
@@ -487,7 +506,8 @@ pub(crate) fn hier_bcast<T: Datatype>(
         topo.idx_in_group(leader),
         base + T_INTRA_TREE,
         payload,
-    )?;
+    )
+    .await?;
     if me == root {
         Ok(data.expect("validated above").to_vec())
     } else {
@@ -499,8 +519,8 @@ pub(crate) fn hier_bcast<T: Datatype>(
 /// over the leaders to the root. Re-associates the fold, so the dispatch
 /// only selects this when the operator is exactly re-associable on the
 /// element type. Returns `Some` only at `root`.
-pub(crate) fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
-    comm: &mut Comm,
+pub(crate) async fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: &[T],
@@ -519,7 +539,8 @@ pub(crate) fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
         base + T_INTRA_TREE,
         data,
         combine,
-    )?;
+    )
+    .await?;
     let Some(local) = local else {
         return Ok(None);
     };
@@ -534,13 +555,14 @@ pub(crate) fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
         &local,
         combine,
     )
+    .await
 }
 
 /// Node-aware gather: members send their block to the node leader, each
 /// leader concatenates its group's blocks into one bundle, and only the
 /// bundles cross the inter-node links to the root.
-pub(crate) fn hier_gather<T: Datatype>(
-    comm: &mut Comm,
+pub(crate) async fn hier_gather<T: Datatype>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: &[T],
@@ -560,7 +582,9 @@ pub(crate) fn hier_gather<T: Datatype>(
         if pos == me {
             bundle.extend_from_slice(&encode_slice(data));
         } else {
-            let env = comm.coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)?;
+            let env = comm
+                .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                .await?;
             if env.payload.len() != blk {
                 return Err(Error::InvalidArgument(format!(
                     "gather contributions differ in length ({} vs {}); use gatherv",
@@ -591,7 +615,9 @@ pub(crate) fn hier_gather<T: Datatype>(
         if g == topo.my_group {
             continue;
         }
-        let env = comm.coll_recv_raw::<T>(members[topo.leaders[g]], base + T_INTER_BUNDLE)?;
+        let env = comm
+            .coll_recv_raw::<T>(members[topo.leaders[g]], base + T_INTER_BUNDLE)
+            .await?;
         if env.payload.len() != blk * grp.len() {
             return Err(Error::InvalidArgument(
                 "gather contributions differ in length; use gatherv".into(),
@@ -612,8 +638,8 @@ pub(crate) fn hier_gather<T: Datatype>(
 /// the bundles circulate over a ring of leaders, each leader splices the
 /// full payload back into participant order, and an intra-node tree
 /// broadcast delivers it.
-pub(crate) fn hier_allgather<T: Datatype>(
-    comm: &mut Comm,
+pub(crate) async fn hier_allgather<T: Datatype>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: &[T],
@@ -633,7 +659,9 @@ pub(crate) fn hier_allgather<T: Datatype>(
             if pos == me {
                 bundle.extend_from_slice(&encode_slice(data));
             } else {
-                let env = comm.coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)?;
+                let env = comm
+                    .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                    .await?;
                 if env.payload.len() != blk {
                     return Err(Error::InvalidArgument(
                         "allgather contributions differ in length".into(),
@@ -656,7 +684,7 @@ pub(crate) fn hier_allgather<T: Datatype>(
                 .clone();
             comm.coll_send_bytes(out_payload, T::NAME, T::SIZE, right, tag)?;
             let recv_b = (topo.my_group + l - k - 1) % l;
-            let env = comm.coll_recv_raw::<T>(left, tag)?;
+            let env = comm.coll_recv_raw::<T>(left, tag).await?;
             if env.payload.len() != blk * topo.groups[recv_b].len() {
                 return Err(Error::InvalidArgument(
                     "allgather contributions differ in length".into(),
@@ -680,7 +708,8 @@ pub(crate) fn hier_allgather<T: Datatype>(
         topo.idx_in_group(leader),
         base + T_INTRA_TREE,
         payload,
-    )?;
+    )
+    .await?;
     Ok(decode_vec(&payload))
 }
 
@@ -716,8 +745,8 @@ fn push_frame(buf: &mut Vec<u8>, block: &[u8]) {
 /// Node-aware allgatherv: like [`hier_allgather`] but with ragged
 /// contributions carried in length-framed bundles (typed as `u8` on the
 /// wire, since a framed bundle is not a whole number of `T`s).
-pub(crate) fn hier_allgatherv<T: Datatype>(
-    comm: &mut Comm,
+pub(crate) async fn hier_allgatherv<T: Datatype>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: &[T],
@@ -736,7 +765,9 @@ pub(crate) fn hier_allgatherv<T: Datatype>(
             if pos == me {
                 push_frame(&mut bundle, &encode_slice(data));
             } else {
-                let env = comm.coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)?;
+                let env = comm
+                    .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                    .await?;
                 push_frame(&mut bundle, &env.payload);
             }
         }
@@ -754,7 +785,7 @@ pub(crate) fn hier_allgatherv<T: Datatype>(
                 .clone();
             comm.coll_send_bytes(out_payload, u8::NAME, u8::SIZE, right, tag)?;
             let recv_b = (topo.my_group + l - k - 1) % l;
-            bundles[recv_b] = Some(comm.coll_recv_raw::<u8>(left, tag)?.payload);
+            bundles[recv_b] = Some(comm.coll_recv_raw::<u8>(left, tag).await?.payload);
         }
         // Re-frame into participant-position order.
         let mut frames: Vec<Vec<&[u8]>> = Vec::with_capacity(l);
@@ -777,7 +808,8 @@ pub(crate) fn hier_allgatherv<T: Datatype>(
         topo.idx_in_group(leader),
         base + T_INTRA_TREE,
         payload,
-    )?;
+    )
+    .await?;
     let blocks = split_frames(&payload, n)?;
     Ok(blocks.into_iter().map(decode_vec::<T>).collect())
 }
@@ -787,8 +819,8 @@ pub(crate) fn hier_allgatherv<T: Datatype>(
 /// bundle laid out `[source member × destination member]`), then deliver
 /// each member its assembled result row. Inter-node links carry one
 /// message per node pair instead of one per rank pair.
-pub(crate) fn hier_alltoall<T: Datatype>(
-    comm: &mut Comm,
+pub(crate) async fn hier_alltoall<T: Datatype>(
+    comm: &mut Comm<'_>,
     members: &[usize],
     me: usize,
     data: &[T],
@@ -802,7 +834,9 @@ pub(crate) fn hier_alltoall<T: Datatype>(
     let leader = topo.my_leader();
     if me != leader {
         comm.coll_send(data, members[leader], base + T_INTRA_FANIN)?;
-        let env = comm.coll_recv_raw::<T>(members[leader], base + T_INTRA_RESULT)?;
+        let env = comm
+            .coll_recv_raw::<T>(members[leader], base + T_INTRA_RESULT)
+            .await?;
         return Ok(decode_vec(&env.payload));
     }
     // Collect each group member's full outgoing row, in position order.
@@ -813,7 +847,9 @@ pub(crate) fn hier_alltoall<T: Datatype>(
         if pos == me {
             rows.push(encode_slice(data));
         } else {
-            let env = comm.coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)?;
+            let env = comm
+                .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                .await?;
             if env.payload.len() != blk * n {
                 return Err(Error::InvalidArgument(
                     "alltoall blocks differ in length".into(),
@@ -844,7 +880,9 @@ pub(crate) fn hier_alltoall<T: Datatype>(
     let mut bundles: Vec<Option<Bytes>> = (0..l).map(|_| None).collect();
     for off in 1..l {
         let g = (topo.my_group + l - off) % l;
-        let env = comm.coll_recv_raw::<T>(members[topo.leaders[g]], base + T_INTER_BUNDLE)?;
+        let env = comm
+            .coll_recv_raw::<T>(members[topo.leaders[g]], base + T_INTER_BUNDLE)
+            .await?;
         if env.payload.len() != topo.groups[g].len() * m * blk {
             return Err(Error::InvalidArgument(
                 "alltoall blocks differ in length".into(),

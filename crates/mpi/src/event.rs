@@ -31,18 +31,106 @@ use crate::envelope::Envelope;
 use crate::error::{Error, Result};
 use crate::fault::ActiveFaults;
 use crate::mailbox::{Mailbox, Progress};
-use crate::step::{EventCtx, Hints, RankStep, StepComm, StepFuture, StepProgram, WaitCell};
+use crate::step::{RankStep, StepComm, StepFuture, StepProgram};
 use crate::transport::{Outbox, Outboxes, SendFailed};
 use crate::world::{RunOutput, World, WorldConfig};
 use pdc_cluster::{CostModel, Placement};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
+
+/// Per-rank wait state shared between a parked state machine and the
+/// event engine. A few bytes per rank — this *is* the "stack" of a parked
+/// virtual rank on the event backend.
+pub(crate) struct WaitCell {
+    /// The rank is suspended and needs an external wake to make progress.
+    pub parked: bool,
+    /// The rank is already in the engine's run heap (dedups wakes).
+    pub queued: bool,
+    /// Simulated time at which the rank parked; its resume priority.
+    pub now: f64,
+    /// Which blocking point the rank is suspended at.
+    pub waiting: RankStep,
+}
+
+impl WaitCell {
+    fn new() -> Rc<RefCell<Self>> {
+        Rc::new(RefCell::new(WaitCell {
+            parked: false,
+            queued: false,
+            now: 0.0,
+            waiting: RankStep::Ready,
+        }))
+    }
+}
+
+/// Wake hints the wait points push for the engine: completing a receive
+/// releases a rendezvous sender (`wake`); parking in `agree` registers
+/// for the progress-change requeue list; entering `agree` is itself a
+/// progress change other agree-waiters must observe.
+#[derive(Default)]
+pub(crate) struct Hints {
+    /// Ranks to requeue because an action just unblocked them.
+    pub wake: Vec<usize>,
+    /// Ranks parked in `agree`, requeued on any progress change.
+    pub agree_parked: Vec<usize>,
+    /// Set when a rank entered an agreement generation this poll.
+    pub agree_entered: bool,
+}
+
+/// What a communicator's wait points need to suspend on the event
+/// engine: the rank's wait cell and the shared hint lists. The engine
+/// attaches one to every [`Comm`] it builds; the other backends never
+/// do, so their wait points block the calling thread instead.
+#[derive(Clone)]
+pub(crate) struct EventCtx {
+    pub cell: Rc<RefCell<WaitCell>>,
+    pub hints: Rc<RefCell<Hints>>,
+}
+
+impl EventCtx {
+    /// Park the calling rank at `step`, priced at simulated time `now`:
+    /// the returned future suspends exactly once, leaving the rank parked
+    /// on its wait cell until the engine requeues and re-polls it.
+    pub(crate) fn park(&self, now: f64, step: RankStep) -> Park {
+        {
+            let mut cell = self.cell.borrow_mut();
+            cell.now = now;
+            cell.waiting = step;
+        }
+        Park {
+            cell: Rc::clone(&self.cell),
+            yielded: false,
+        }
+    }
+}
+
+/// Future returned by [`EventCtx::park`].
+pub(crate) struct Park {
+    cell: Rc<RefCell<WaitCell>>,
+    yielded: bool,
+}
+
+impl Future for Park {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        if self.yielded {
+            Poll::Ready(())
+        } else {
+            self.yielded = true;
+            self.cell.borrow_mut().parked = true;
+            Poll::Pending
+        }
+    }
+}
 
 /// Per-rank memory footprint of an event-backend world, measured after
 /// the rank state machines are built. This is the number the 10^5–10^6
@@ -138,9 +226,10 @@ impl World {
     ///
     /// # Errors
     /// Anything a rank body returns, plus [`Error::Deadlock`] with the
-    /// same analysis the parked-thread backends produce. Collective
-    /// tuning tables are not supported on this backend yet and fail fast
-    /// with [`Error::InvalidArgument`].
+    /// same analysis the parked-thread backends produce. A collective
+    /// tuning table ([`WorldConfig::with_tuning`]) selects the same
+    /// algorithms, and so the same messages and clocks, as on the other
+    /// backends.
     pub fn run_event<T, P>(cfg: WorldConfig, program: &P) -> Result<RunOutput<T>>
     where
         P: StepProgram<T> + ?Sized,
@@ -188,26 +277,6 @@ where
 {
     assert!(cfg.size > 0, "a world needs at least one rank");
     let size = cfg.size;
-    let empty_mem = EventMemStats {
-        ranks: size,
-        future_bytes: 0,
-        comm_bytes: 0,
-        cell_bytes: 0,
-        bytes_per_rank: 0,
-        events: 0,
-    };
-    if cfg.tuning.is_some() {
-        // The event-mode collective mirrors implement the flat algorithms
-        // only; silently ignoring a tuning table would diverge from the
-        // other backends, so refuse it loudly.
-        return (
-            Err(Error::InvalidArgument(
-                "the event backend does not support collective tuning tables".into(),
-            )),
-            Vec::new(),
-            empty_mem,
-        );
-    }
     let placement = Placement::new(
         size,
         cfg.nodes_used,
@@ -257,7 +326,7 @@ where
                 cfg.tracing,
                 cfg.check,
                 faults.clone(),
-                None,
+                cfg.tuning.clone(),
             )
         })
         .collect();
@@ -266,11 +335,11 @@ where
     let hints = Rc::new(RefCell::new(Hints::default()));
     let mut futures: Vec<Option<StepFuture<'_, Result<T>>>> = Vec::with_capacity(size);
     for (rank, comm) in comms.iter_mut().enumerate() {
-        let ctx = EventCtx {
+        comm.attach_event(EventCtx {
             cell: Rc::clone(&cells[rank]),
             hints: Rc::clone(&hints),
-        };
-        futures.push(Some(program.build(StepComm::event(comm, ctx))));
+        });
+        futures.push(Some(program.build(StepComm::new(comm))));
     }
 
     let future_bytes: usize = futures

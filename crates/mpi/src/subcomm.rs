@@ -20,6 +20,7 @@ use crate::datatype::{decode_vec, encode_slice, Datatype};
 use crate::error::{Error, Result};
 use crate::reduce::{fold_into, Op, Reducible};
 use crate::stats::Primitive;
+use crate::step::block_on;
 use crate::tune::{CollAlgo, CollKind};
 use bytes::Bytes;
 
@@ -158,7 +159,7 @@ impl Comm<'_> {
             Some(algo) => {
                 self.begin_algo(algo, false);
                 let r = if algo == CollAlgo::Hierarchical {
-                    coll::hier_barrier(self, &sc.members, sc.my_idx, base)
+                    block_on(coll::hier_barrier(self, &sc.members, sc.my_idx, base))
                 } else {
                     self.sub_barrier_flat(sc, base)
                 };
@@ -176,7 +177,7 @@ impl Comm<'_> {
             let to = sc.members[(sc.my_idx + dist) % p];
             let from = sc.members[(sc.my_idx + p - dist) % p];
             self.coll_send::<u8>(&[], to, base + round)?;
-            let _ = self.coll_recv::<u8>(from, base + round)?;
+            let _ = block_on(self.coll_recv::<u8>(from, base + round))?;
             dist <<= 1;
             round += 1;
         }
@@ -225,14 +226,14 @@ impl Comm<'_> {
         } else {
             Bytes::new()
         };
-        let header = coll::tree_bcast_bytes::<u64>(
+        let header = block_on(coll::tree_bcast_bytes::<u64>(
             self,
             &sc.members,
             sc.my_idx,
             root,
             base + coll::T_HEADER,
             header,
-        )?;
+        ))?;
         let header: Vec<u64> = decode_vec(&header);
         let algo = header
             .first()
@@ -243,12 +244,23 @@ impl Comm<'_> {
         self.begin_algo(algo, false);
         let r = match algo {
             CollAlgo::Flat => self.sub_bcast_flat(sc, data, root, base),
-            CollAlgo::Chunked => {
-                coll::chunked_bcast(self, &sc.members, sc.my_idx, data, root, count, base)
-            }
-            CollAlgo::Hierarchical => {
-                coll::hier_bcast(self, &sc.members, sc.my_idx, data, root, base)
-            }
+            CollAlgo::Chunked => block_on(coll::chunked_bcast(
+                self,
+                &sc.members,
+                sc.my_idx,
+                data,
+                root,
+                count,
+                base,
+            )),
+            CollAlgo::Hierarchical => block_on(coll::hier_bcast(
+                self,
+                &sc.members,
+                sc.my_idx,
+                data,
+                root,
+                base,
+            )),
         };
         self.end_algo();
         r
@@ -278,7 +290,7 @@ impl Comm<'_> {
         while mask < p {
             if vrank & mask != 0 {
                 let parent = sc.members[(vrank - mask + root) % p];
-                payload = self.coll_recv_raw::<T>(parent, base + recv_bit)?.payload;
+                payload = block_on(self.coll_recv_raw::<T>(parent, base + recv_bit))?.payload;
                 break;
             }
             mask <<= 1;
@@ -359,7 +371,7 @@ impl Comm<'_> {
                 self.begin_algo(algo, false);
                 let r = match algo {
                     CollAlgo::Flat => self.sub_reduce_tree(sc, data, root, base, combine),
-                    CollAlgo::Chunked => coll::chunked_reduce(
+                    CollAlgo::Chunked => block_on(coll::chunked_reduce(
                         self,
                         &sc.members,
                         sc.my_idx,
@@ -367,10 +379,16 @@ impl Comm<'_> {
                         root,
                         base,
                         combine,
-                    ),
-                    CollAlgo::Hierarchical => {
-                        coll::hier_reduce(self, &sc.members, sc.my_idx, data, root, base, combine)
-                    }
+                    )),
+                    CollAlgo::Hierarchical => block_on(coll::hier_reduce(
+                        self,
+                        &sc.members,
+                        sc.my_idx,
+                        data,
+                        root,
+                        base,
+                        combine,
+                    )),
                 };
                 self.end_algo();
                 r
@@ -399,7 +417,8 @@ impl Comm<'_> {
             }
             let child = vrank + mask;
             if child < p {
-                let part = self.coll_recv::<T>(sc.members[(child + root) % p], base + round)?;
+                let part =
+                    block_on(self.coll_recv::<T>(sc.members[(child + root) % p], base + round))?;
                 if part.len() != acc.len() {
                     return Err(Error::InvalidArgument(
                         "sub_reduce contributions differ in length".into(),
@@ -485,19 +504,26 @@ impl Comm<'_> {
                 let rbase = sc.next_base();
                 let bbase = sc.next_base();
                 self.begin_algo(CollAlgo::Chunked, false);
-                let r =
-                    coll::chunked_reduce(self, &sc.members, sc.my_idx, data, 0, rbase, &combine)
-                        .and_then(|reduced| {
-                            coll::chunked_bcast(
-                                self,
-                                &sc.members,
-                                sc.my_idx,
-                                reduced.as_deref(),
-                                0,
-                                data.len(),
-                                bbase,
-                            )
-                        });
+                let r = block_on(coll::chunked_reduce(
+                    self,
+                    &sc.members,
+                    sc.my_idx,
+                    data,
+                    0,
+                    rbase,
+                    &combine,
+                ))
+                .and_then(|reduced| {
+                    block_on(coll::chunked_bcast(
+                        self,
+                        &sc.members,
+                        sc.my_idx,
+                        reduced.as_deref(),
+                        0,
+                        data.len(),
+                        bbase,
+                    ))
+                });
                 self.end_algo();
                 r
             }
@@ -505,10 +531,25 @@ impl Comm<'_> {
                 let rbase = sc.next_base();
                 let bbase = sc.next_base();
                 self.begin_algo(CollAlgo::Hierarchical, false);
-                let r = coll::hier_reduce(self, &sc.members, sc.my_idx, data, 0, rbase, &combine)
-                    .and_then(|reduced| {
-                        coll::hier_bcast(self, &sc.members, sc.my_idx, reduced.as_deref(), 0, bbase)
-                    });
+                let r = block_on(coll::hier_reduce(
+                    self,
+                    &sc.members,
+                    sc.my_idx,
+                    data,
+                    0,
+                    rbase,
+                    &combine,
+                ))
+                .and_then(|reduced| {
+                    block_on(coll::hier_bcast(
+                        self,
+                        &sc.members,
+                        sc.my_idx,
+                        reduced.as_deref(),
+                        0,
+                        bbase,
+                    ))
+                });
                 self.end_algo();
                 r
             }
@@ -535,9 +576,7 @@ impl Comm<'_> {
         while mask < p {
             if sc.my_idx & mask != 0 {
                 let parent = sc.members[sc.my_idx - mask];
-                payload = self
-                    .coll_recv_raw::<T>(parent, base + 512 + recv_bit)?
-                    .payload;
+                payload = block_on(self.coll_recv_raw::<T>(parent, base + 512 + recv_bit))?.payload;
                 break;
             }
             mask <<= 1;
@@ -597,7 +636,7 @@ impl Comm<'_> {
                 let part = if idx == root {
                     data.to_vec()
                 } else {
-                    self.coll_recv::<T>(sc.members[idx], base)?
+                    block_on(self.coll_recv::<T>(sc.members[idx], base))?
                 };
                 if part.len() != expect {
                     return Err(Error::InvalidArgument(

@@ -6,17 +6,19 @@
 //! body (the blocking backends drive it via [`drive`]), then asserts that
 //! results, the simulated clock (bit-for-bit), per-rank [`CommStats`], and
 //! the checker event logs are byte-identical. Modules 2, 3, and 6 are the
-//! real course programs; the fault and cancellation scenarios cover the
-//! failure paths the engine replaces.
+//! real course programs (untuned, and tuned on a multi-node placement);
+//! the primitive tour calls every [`StepComm`] primitive once; the fault
+//! and cancellation scenarios cover the failure paths the engine replaces.
 
 use pdc_datagen::uniform_points;
 use pdc_modules::module2::{Access, DistanceMatrixProgram};
 use pdc_modules::module3::{BucketStrategy, DistributionSortProgram, InputDist};
 use pdc_modules::module6::{HaloVariant, StencilProgram};
 use pdc_mpi::{
-    drive, CancelToken, CheckEvent, CheckMode, Comm, Error, FaultPlan, Op, Result, StepComm,
-    StepFuture, StepProgram, World, WorldConfig,
+    drive, CancelToken, CheckEvent, CheckMode, CollAlgo, Comm, CommStats, Error, FaultPlan, Op,
+    Result, StepComm, StepFuture, StepProgram, TuningTable, World, WorldConfig,
 };
+use std::path::Path;
 
 /// Sizes every module scenario sweeps (the ISSUE's {2, 5, 32}).
 const SIZES: [usize; 3] = [2, 5, 32];
@@ -61,9 +63,15 @@ fn observe<T: std::fmt::Debug>(
     }
 }
 
-/// Run `program` on all three backends and assert byte-identical
-/// observables.
-fn conform<T, P>(name: &str, ranks: usize, cfg: impl Fn() -> WorldConfig, program: &P)
+/// Run `program` on all three backends, assert byte-identical
+/// observables, and return the thread backend's per-rank statistics
+/// (`None` when the run failed).
+fn conform<T, P>(
+    name: &str,
+    ranks: usize,
+    cfg: impl Fn() -> WorldConfig,
+    program: &P,
+) -> Option<Vec<CommStats>>
 where
     T: Send + std::fmt::Debug,
     P: StepProgram<T> + Sync,
@@ -85,6 +93,7 @@ where
         program,
     );
 
+    let thread_stats = thread_res.as_ref().ok().map(|out| out.stats.clone());
     let thread = observe(thread_res, &thread_ev);
     let virt = observe(virt_res, &virt_ev);
     let event = observe(event_res, &event_ev);
@@ -96,6 +105,7 @@ where
         assert_eq!(thread.stats, other.stats, "{ctx}: CommStats");
         assert_eq!(thread.log, other.log, "{ctx}: checker event log");
     }
+    thread_stats
 }
 
 #[test]
@@ -226,4 +236,159 @@ fn cancellation_outcome_is_backend_identical() {
         WorldConfig::new(3).with_watchdog(None).with_cancel(token)
     };
     conform("cancel/pre-cancelled", 3, cfg, &BlockForever);
+}
+
+/// Eager/rendezvous cutover for the primitive tour, in bytes: one `u64`
+/// travels eagerly, [`TOUR_BIG`] of them take the rendezvous path.
+const TOUR_EAGER: usize = 64;
+const TOUR_BIG: u64 = 32;
+
+/// Every [`StepComm`] primitive once. The point-to-point phases run round
+/// a ring; in the rendezvous phases rank 0 sends first and the others
+/// receive first, so no phase can deadlock. Every call lands in the
+/// checker log with its call site, so a primitive that logged the
+/// runtime's own line on some backend breaks the log comparison.
+struct PrimitiveTour;
+
+impl StepProgram<Vec<u64>> for PrimitiveTour {
+    fn build<'c, 'w: 'c>(&'c self, sc: StepComm<'c, 'w>) -> StepFuture<'c, Result<Vec<u64>>> {
+        Box::pin(primitive_tour(sc))
+    }
+}
+
+async fn primitive_tour(mut sc: StepComm<'_, '_>) -> Result<Vec<u64>> {
+    let (rank, p) = (sc.rank(), sc.size());
+    let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
+    let small = [rank as u64];
+    let big: Vec<u64> = (0..TOUR_BIG).map(|i| rank as u64 * 1000 + i).collect();
+    let mut seen = Vec::new();
+
+    // Eager send/recv: buffered, so every rank sends first.
+    sc.send(&small, right, 1).await?;
+    let (got, status) = sc.recv::<u64, _, _>(left, 1).await?;
+    seen.extend([got[0], status.source as u64]);
+
+    // Rendezvous send/recv.
+    if rank == 0 {
+        sc.send(&big, right, 2).await?;
+    }
+    let (got, _) = sc.recv::<u64, _, _>(left, 2).await?;
+    if rank != 0 {
+        sc.send(&big, right, 2).await?;
+    }
+    seen.push(got.iter().sum());
+
+    // Synchronous send, met by probe / iprobe / get_count / recv_into.
+    if rank == 0 {
+        sc.ssend(&small, right, 3).await?;
+    }
+    let status = sc.probe(left, 3).await?;
+    let count = sc.get_count::<u64>(&status)?;
+    let peeked = sc.iprobe(left, 3)?.is_some();
+    let mut buf = vec![0u64; count];
+    sc.recv_into(&mut buf, left, 3).await?;
+    if rank != 0 {
+        sc.ssend(&small, right, 3).await?;
+    }
+    seen.extend([count as u64, peeked as u64, buf[0]]);
+
+    // Nonblocking: a rendezvous isend completed by wait_send, two eager
+    // ones by wait_all_sends.
+    let req = sc.irecv::<u64>(left, 4)?;
+    let big_send = sc.isend(&big, right, 4)?;
+    let (got, _) = sc.wait_recv(req).await?;
+    sc.wait_send(big_send).await?;
+    let sends = vec![sc.isend(&small, right, 5)?, sc.isend(&small, right, 6)?];
+    sc.wait_all_sends(sends).await?;
+    let (five, _) = sc.recv::<u64, _, _>(left, 5).await?;
+    let (six, _) = sc.recv::<u64, _, _>(left, 6).await?;
+    seen.extend([got.iter().sum(), five[0] + six[0]]);
+
+    // Collectives.
+    sc.barrier().await?;
+    let root = p - 1;
+    let bcast = sc.bcast((rank == root).then_some(&big[..]), root).await?;
+    let all: Vec<u64> = (0..2 * p as u64).collect();
+    let mine = sc.scatter((rank == root).then_some(&all[..]), root).await?;
+    let gathered = sc.gatherv(&vec![rank as u64; rank + 1], root).await?;
+    let ring = sc.allgather(&small).await?;
+    let reduced = sc.reduce(&big, Op::Sum, 0).await?;
+    let total = sc.allreduce(&[rank as f64 + 0.25], Op::Sum).await?;
+    seen.extend([
+        bcast.iter().sum(),
+        mine.iter().sum(),
+        gathered.map_or(0, |g| g.concat().iter().sum()),
+        ring.iter().sum(),
+        reduced.map_or(0, |r| r.iter().sum()),
+        total[0].to_bits(),
+    ]);
+    Ok(seen)
+}
+
+#[test]
+fn primitive_tour_is_backend_identical() {
+    for ranks in SIZES {
+        conform(
+            "tour",
+            ranks,
+            || WorldConfig::new(ranks).with_eager_threshold(TOUR_EAGER),
+            &PrimitiveTour,
+        );
+    }
+}
+
+fn tuning_table() -> TuningTable {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../TUNING_mpi.json");
+    TuningTable::load(&path).expect("checked-in TUNING_mpi.json loads")
+}
+
+/// Collective calls that resolved to `algo`, summed over ranks.
+fn calls(stats: &[CommStats], algo: CollAlgo) -> u64 {
+    stats.iter().map(|s| s.algo_volume(algo).calls).sum()
+}
+
+/// Modules 2, 3 and 6 with the checked-in tuning table on a four-node
+/// placement: the tuned dispatch must be backend-identical as well.
+#[test]
+fn tuned_modules_are_backend_identical() {
+    let table = tuning_table();
+    let module2 = DistanceMatrixProgram {
+        points: uniform_points(96, 4, 0.0, 100.0, 3),
+        access: Access::RowWise,
+    };
+    let module3 = DistributionSortProgram {
+        n_per_rank: 60,
+        dist: InputDist::Exponential,
+        strategy: BucketStrategy::Histogram { bins: 32 },
+        seed: 7,
+    };
+    let module6 = StencilProgram {
+        n_per_rank: 6,
+        iters: 4,
+        variant: HaloVariant::Overlapped,
+    };
+    let mut non_flat = 0;
+    for ranks in [8, 32] {
+        let cfg = || {
+            WorldConfig::new(ranks)
+                .on_nodes(4)
+                .with_tuning(table.clone())
+        };
+        for stats in [
+            conform("tuned/module2", ranks, cfg, &module2),
+            conform("tuned/module3", ranks, cfg, &module3),
+            conform("tuned/module6", ranks, cfg, &module6),
+        ] {
+            let stats = stats.expect("tuned module runs");
+            assert!(
+                CollAlgo::ALL.iter().any(|&algo| calls(&stats, algo) > 0),
+                "the tuned dispatch selected no algorithm"
+            );
+            non_flat += calls(&stats, CollAlgo::Chunked) + calls(&stats, CollAlgo::Hierarchical);
+        }
+    }
+    // Modules 2 and 6 reduce a single f64, for which no non-flat
+    // algorithm applies; Module 3's barrier and allgather go hierarchical
+    // at 32 ranks on four nodes.
+    assert!(non_flat > 0, "no chunked or hierarchical collective ran");
 }
