@@ -245,20 +245,23 @@ fn golden_event_log_replays_bit_identically() {
     );
 }
 
-/// Render one event-engine run — Module 3's distribution sort at 64
-/// ranks under seed 7 — as a diffable text log: results, the simulated
-/// clock (bit-exact), and the full resume trace (the order the heap
-/// popped rank wakes), 16 entries per line.
-fn golden_event_run() -> String {
-    let program = DistributionSortProgram {
-        n_per_rank: 20,
-        dist: InputDist::Exponential,
-        strategy: BucketStrategy::Histogram { bins: 128 },
-        seed: 7,
-    };
-    let out = World::run_event(virtual_cfg(64, 7), &program).expect("golden event run");
+/// Module 3's distribution sort as the golden runs pin it: 64 ranks,
+/// 20 keys per rank, seed 7.
+const GOLDEN_SORT: DistributionSortProgram = DistributionSortProgram {
+    n_per_rank: 20,
+    dist: InputDist::Exponential,
+    strategy: BucketStrategy::Histogram { bins: 128 },
+    seed: 7,
+};
+
+/// Render one scheduled run as a diffable text log: results, the
+/// simulated clock (bit-exact), and the full resume trace, 16 entries
+/// per line.
+fn render_sched_log(program: &str, out: &pdc_mpi::RunOutput<(usize, bool)>) -> String {
     let mut log = String::new();
-    log.push_str("program: module3 distribution sort, 64 ranks, n_per_rank 20, sched seed 7\n");
+    log.push_str(&format!(
+        "program: {program}, 64 ranks, n_per_rank 20, sched seed 7\n"
+    ));
     log.push_str(&format!("values: {:?}\n", out.values));
     log.push_str(&format!(
         "sim_time_bits: {:#018x}\n",
@@ -274,6 +277,38 @@ fn golden_event_run() -> String {
     log
 }
 
+/// Assert that `log` is reproducible and equal to the committed golden
+/// file `name` (or rewrite the file under `UPDATE_GOLDEN`).
+fn assert_golden(name: &str, run: impl Fn() -> String) {
+    let log_a = run();
+    let log_b = run();
+    assert_eq!(log_a, log_b, "{name}: same seed ⇒ bit-identical trace");
+
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &log_a).expect("write golden file");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "golden log {name} missing — regenerate with \
+             UPDATE_GOLDEN=1 cargo test --test sched_explore golden"
+        )
+    });
+    assert_eq!(
+        golden, log_a,
+        "{name} diverged from the pinned schedule (seed 7); if the \
+         change is intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// The event engine's resume trace: the order the heap popped rank
+/// wakes.
+fn golden_event_run() -> String {
+    let out = World::run_event(virtual_cfg(64, 7), &GOLDEN_SORT).expect("golden event run");
+    render_sched_log("module3 distribution sort", &out)
+}
+
 /// The event engine's schedule is a pure function of
 /// `(program, size, workers, seed)`: seed 7 at 64 ranks replays
 /// bit-identically, pinned against a committed golden file. Regenerate
@@ -281,27 +316,29 @@ fn golden_event_run() -> String {
 /// an intentional change to the engine or Module 3.
 #[test]
 fn golden_event_engine_trace_replays_bit_identically() {
-    let log_a = golden_event_run();
-    let log_b = golden_event_run();
-    assert_eq!(log_a, log_b, "same seed ⇒ bit-identical event-engine trace");
+    assert_golden("event_engine_log.txt", golden_event_run);
+}
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/event_engine_log.txt"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &log_a).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(path).expect(
-        "golden event-engine log missing — regenerate with \
-         UPDATE_GOLDEN=1 cargo test --test sched_explore golden",
-    );
-    assert_eq!(
-        golden, log_a,
-        "event-engine trace diverged from the pinned schedule (seed 7); \
-         if the change is intentional, regenerate with UPDATE_GOLDEN=1"
-    );
+/// The parked-thread scheduler's resume trace for the same sort, run as
+/// a blocking closure under `World::run`: one rank id per scheduling
+/// decision.
+fn golden_virtual_run() -> String {
+    let p = GOLDEN_SORT;
+    let out = World::run(virtual_cfg(64, 7), |comm| {
+        distribution_sort_rank(comm, p.n_per_rank, p.dist, p.strategy, p.seed)
+    })
+    .expect("golden virtual run");
+    render_sched_log("module3 distribution sort (virtual ranks, 2 workers)", &out)
+}
+
+/// The parked-thread scheduler is a pure function of
+/// `(program, size, workers, seed)`: seed 7 at 64 ranks and 2 workers
+/// replays bit-identically, pinned against a committed golden file.
+/// Regenerate with `UPDATE_GOLDEN=1 cargo test --test sched_explore
+/// golden` only after an intentional change to the scheduling policy.
+#[test]
+fn golden_virtual_trace_replays_bit_identically() {
+    assert_golden("virtual_sched_log.txt", golden_virtual_run);
 }
 
 /// Modules 1/3/5: the virtual-rank backend returns the same payloads as
