@@ -6,15 +6,18 @@
 //! container) those wakeups steal cycles from the rank that could actually
 //! run. This channel replaces polling with condvar wakeups:
 //!
-//! * a send locks the queue, pushes, and notifies the waiting receiver —
+//! * a send locks the queue, pushes, and signals the condvar only when
+//!   a receiver is blocked in its wait (the queue state records that) —
 //!   the receiver observes the message one wakeup later, not one poll
-//!   tick later;
+//!   tick later, and a send nobody waits for makes no wake syscall
+//!   (virtual ranks park with the scheduler and the event engine polls
+//!   with `try_recv`, so neither ever waits on the condvar);
 //! * the watchdog, having poisoned the world, calls [`Wake::wake_all`] on
 //!   every registered channel so blocked primitives observe the poison
 //!   flag *immediately* (the flag itself is re-checked under the queue
 //!   lock, so the wakeup cannot be lost);
-//! * dropping the last sender notifies too, turning an abandoned wait
-//!   into [`RecvError::Disconnected`] rather than a hang.
+//! * dropping the last sender signals a blocked receiver too, turning an
+//!   abandoned wait into [`RecvError::Disconnected`] rather than a hang.
 //!
 //! A long backstop timeout ([`BACKSTOP`]) bounds the damage of any missed
 //! wakeup to tens of milliseconds; it is a safety net, never the wakeup
@@ -51,6 +54,26 @@ struct State<T: Send + 'static> {
     queue: VecDeque<T>,
     senders: usize,
     receiver_alive: bool,
+    /// Threads blocked in the condvar wait of
+    /// [`Receiver::recv_or_stop`]; set and cleared under this lock around
+    /// the wait, so a send signals exactly when someone can hear it.
+    waiters: usize,
+}
+
+impl<T: Send + 'static> State<T> {
+    /// Wake one blocked receiver, if any is waiting.
+    fn signal_one(&self, cv: &Condvar) {
+        if self.waiters > 0 {
+            cv.notify_one();
+        }
+    }
+
+    /// Wake every blocked receiver, if any is waiting.
+    fn signal_all(&self, cv: &Condvar) {
+        if self.waiters > 0 {
+            cv.notify_all();
+        }
+    }
 }
 
 struct Inner<T: Send + 'static> {
@@ -94,8 +117,7 @@ impl<T: Send + 'static> Wake for Inner<T> {
         // Taking the queue lock orders this notify after any in-progress
         // "check stop flag, then wait" sequence, so the wakeup is never
         // lost.
-        let _guard = self.lock();
-        self.cv.notify_all();
+        self.lock().signal_all(&self.cv);
     }
 }
 
@@ -150,7 +172,7 @@ impl<T: Send + 'static> Drop for Sender<T> {
                     state.senders -= 1;
                     if state.senders == 0 {
                         // Turn abandoned waits into Disconnected.
-                        inner.cv.notify_all();
+                        state.signal_all(&inner.cv);
                     }
                 }),
             );
@@ -161,7 +183,7 @@ impl<T: Send + 'static> Drop for Sender<T> {
             state.senders -= 1;
             if state.senders == 0 {
                 // Turn abandoned waits into Disconnected.
-                self.0.cv.notify_all();
+                state.signal_all(&self.0.cv);
             }
             state.senders == 0
         };
@@ -172,7 +194,7 @@ impl<T: Send + 'static> Drop for Sender<T> {
 }
 
 impl<T: Send + 'static> Sender<T> {
-    /// Enqueue a message and wake the receiver.
+    /// Enqueue a message and wake the receiver if it is blocked waiting.
     ///
     /// On a virtual-rank thread the push is *buffered* with the
     /// scheduler instead (frozen-channel invariant: running ranks never
@@ -191,7 +213,7 @@ impl<T: Send + 'static> Sender<T> {
                     let mut state = inner.lock();
                     if state.receiver_alive {
                         state.queue.push_back(value);
-                        inner.cv.notify_one();
+                        state.signal_one(&inner.cv);
                     }
                 }),
             );
@@ -202,7 +224,7 @@ impl<T: Send + 'static> Sender<T> {
             return Err(SendError(value));
         }
         state.queue.push_back(value);
-        self.0.cv.notify_one();
+        state.signal_one(&self.0.cv);
         Ok(())
     }
 }
@@ -277,11 +299,13 @@ impl<T: Send + 'static> Receiver<T> {
             if state.senders == 0 {
                 return Err(RecvError::Disconnected);
             }
+            state.waiters += 1;
             (state, _) = self
                 .0
                 .cv
                 .wait_timeout(state, BACKSTOP)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.waiters -= 1;
         }
     }
 
@@ -330,6 +354,7 @@ pub fn channel<T: Send + 'static>() -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receiver_alive: true,
+            waiters: 0,
         }),
         cv: Condvar::new(),
         id: NEXT_CHAN_ID.fetch_add(1, Ordering::Relaxed),
@@ -404,6 +429,54 @@ mod tests {
         tx.send(1).expect("receiver alive");
         assert_eq!(rx.recv_or_stop(|| true), Ok(1));
         assert_eq!(rx.recv_or_stop(|| true), Err(RecvError::Stopped));
+    }
+
+    /// Spin until a thread is blocked in `rx`'s condvar wait.
+    fn await_waiter<T: Send>(rx: &Receiver<T>) {
+        while rx.0.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn waiter_count_is_zero_after_every_return() {
+        let (tx, rx) = channel::<u8>();
+        let waiters = |rx: &Receiver<u8>| rx.0.lock().waiters;
+
+        // Woken by a message.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                await_waiter(&rx);
+                tx.send(1).expect("receiver alive");
+            });
+            assert_eq!(rx.recv_or_stop(|| false), Ok(1));
+        });
+        assert_eq!(waiters(&rx), 0, "waiter left counted after a message");
+
+        // Woken by the stop condition.
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                await_waiter(&rx);
+                stop.store(true, Ordering::Relaxed);
+                rx.0.wake_all();
+            });
+            assert_eq!(
+                rx.recv_or_stop(|| stop.load(Ordering::Relaxed)),
+                Err(RecvError::Stopped)
+            );
+        });
+        assert_eq!(waiters(&rx), 0, "waiter left counted after Stopped");
+
+        // Woken by the last sender's disconnect.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                await_waiter(&rx);
+                drop(tx);
+            });
+            assert_eq!(rx.recv_or_stop(|| false), Err(RecvError::Disconnected));
+        });
+        assert_eq!(waiters(&rx), 0, "waiter left counted after Disconnected");
     }
 
     #[test]

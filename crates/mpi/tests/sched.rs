@@ -177,3 +177,26 @@ proptest! {
         prop_assert_eq!(virt.total_stats().bytes_sent, thread.total_stats().bytes_sent);
     }
 }
+
+#[test]
+fn rendezvous_send_to_an_exited_rank_fails_instead_of_hanging() {
+    // Rank 0 returns at once; rank 1's synchronous send can reach its
+    // mailbox after it is gone. The barrier step then drops the envelope
+    // and, with it, the rendezvous ack sender: the sender must see the
+    // disconnect, under every schedule, and the world must not hang.
+    for seed in 0..16 {
+        for workers in 1..=2 {
+            let cfg = WorldConfig::virtual_ranks(2, workers).with_sched_seed(seed);
+            let result = World::run(cfg, |comm| {
+                if comm.rank() == 1 {
+                    comm.ssend(&[1u8], 0, 0)?;
+                }
+                Ok(())
+            });
+            assert!(
+                matches!(result, Err(Error::WorldShutDown)),
+                "seed {seed}, {workers} workers: {result:?}"
+            );
+        }
+    }
+}
