@@ -1,10 +1,12 @@
-//! Algorithm variants for collectives: pipelined/chunked and
-//! hierarchical (node-aware) implementations.
+//! Collective algorithms over a participant group: the flat seed
+//! algorithms, and pipelined/chunked and hierarchical (node-aware)
+//! variants.
 //!
-//! The flat algorithms in [`comm`](crate::comm) treat the world as a
-//! uniform graph. On a multi-node cluster the postal model makes
-//! inter-node hops 4× the latency and half the bandwidth of intra-node
-//! hops, so two refinements pay off:
+//! The flat algorithms treat the group as a uniform graph: binomial
+//! trees for bcast and reduce, a dissemination barrier, a direct gather
+//! to the root, and reduce-then-bcast for allreduce. On a multi-node
+//! cluster the postal model makes inter-node hops 4× the latency and half
+//! the bandwidth of intra-node hops, so two refinements pay off:
 //!
 //! * **Chunked** (pipelined) variants stream a large payload as
 //!   fixed-size chunks. The chunked *reduction* streams up the *same*
@@ -23,41 +25,58 @@
 //!   them on [`Reducible::exact_reassoc`](crate::reduce::Reducible)
 //!   (see `tune::constrain`).
 //!
-//! All functions here are generalized over a *participant list*
-//! (`members[i]` = world rank of participant `i`) so the world
-//! communicator and [`SubComm`](crate::subcomm::SubComm) share one
-//! implementation. Callers allocate the collective's tag `base` and have
-//! already recorded the user-level primitive; this module only moves
-//! bytes. Like the flat bodies in `comm`, every function is `async`, so
-//! the event engine runs the same code as the blocking backends; only
+//! Every function here takes its participants as [`Members`]
+//! (participant `i` is world rank `members.at(i)`): the whole world, as
+//! `Members::World(size)` with no list behind it, or a
+//! [`SubComm`](crate::subcomm::SubComm)'s member list. The one dispatch
+//! per collective kind in [`comm`](crate::comm) serves both, so the world
+//! and every sub-communicator run one implementation. Callers allocate
+//! the collective's tag `base` and have already recorded the user-level
+//! primitive; this module only moves bytes. Every function is `async`,
+//! so the event engine runs the same code as the blocking backends; only
 //! the receives inside know which engine is waiting.
+//!
+//! The flat algorithms sit inline in every event-engine rank's state
+//! machine, so they are written as `fn … -> impl Future` around an
+//! `async move` block: an `async fn` keeps a second copy of every
+//! argument it still uses after an await, the block keeps one. The
+//! dispatches in `comm` do the same (hence `clippy::manual_async_fn` is
+//! allowed on them); that is what keeps `bytes_per_rank`
+//! (`BENCH_scale.json`) where the world-only code had it. The chunked
+//! and hierarchical variants run boxed and stay `async fn`.
 //!
 //! ## Tag budget (offsets within one 1024-tag collective base)
 //!
 //! | range      | user                                             |
 //! |------------|--------------------------------------------------|
+//! | `0..64`    | flat tree/barrier round `r`; flat gather `0`     |
 //! | `0..64`    | chunked bcast: chunk `c`                         |
 //! | `0..1024`  | chunked reduce: `c*16 + round` (`c<64, round<16`)|
 //! | `300..364` | hierarchical inter-node tree, bit `b`            |
 //! | `330..394` | hierarchical inter-node ring, round `k % 64`     |
 //! | `430..494` | hierarchical leader barrier, round `r`           |
 //! | `460`      | hierarchical leader→leader bundle                |
+//! | `512..576` | flat allreduce: broadcast phase, bit `b`         |
 //! | `700`      | intra-node fan-in to the leader                  |
 //! | `701`      | intra-node barrier release                       |
 //! | `702`      | intra-node per-member result delivery            |
 //! | `710..774` | intra-node tree, bit `b`                         |
 //! | `960..1024`| bcast algorithm/size header (see `comm`)         |
 //!
-//! A single collective never uses two overlapping ranges, and composites
-//! (chunked/hierarchical allreduce) allocate two bases, one per phase.
+//! A single collective never uses two overlapping ranges, and the
+//! chunked and hierarchical allreduce composites allocate two bases, one
+//! per phase.
+
+#![allow(clippy::manual_async_fn)]
 
 use crate::comm::Comm;
 use crate::datatype::{decode_extend, decode_vec, encode_slice, Datatype};
 use crate::error::{Error, Result};
 use crate::reduce::fold_into;
-use crate::tune::{BCAST_CHUNK_BYTES, CHUNK_BYTES, MAX_CHUNKS};
+use crate::tune::{CollAlgo, BCAST_CHUNK_BYTES, CHUNK_BYTES, MAX_CHUNKS};
 use bytes::Bytes;
 use std::collections::BTreeMap;
+use std::future::Future;
 
 /// Tag offset of the bcast algorithm/size header (binomial tree bits
 /// `960..1024`); the dispatch in `comm` broadcasts `[algo, count]` here
@@ -72,6 +91,37 @@ const T_INTRA_FANIN: u64 = 700;
 const T_INTRA_RELEASE: u64 = 701;
 const T_INTRA_RESULT: u64 = 702;
 const T_INTRA_TREE: u64 = 710;
+
+/// The participants of one collective, in participant order: the whole
+/// world (participant `i` is rank `i`, so the world path never builds an
+/// O(size) list) or a sub-communicator's world ranks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Members<'a> {
+    World(usize),
+    Sub(&'a [usize]),
+}
+
+impl<'a> Members<'a> {
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Members::World(n) => n,
+            Members::Sub(m) => m.len(),
+        }
+    }
+
+    /// World rank of participant `i`.
+    pub(crate) fn at(self, i: usize) -> usize {
+        match self {
+            Members::World(_) => i,
+            Members::Sub(m) => m[i],
+        }
+    }
+
+    /// World ranks of every participant, in participant order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = usize> + 'a {
+        (0..self.len()).map(move |i| self.at(i))
+    }
+}
 
 /// Elements per reduction-pipeline chunk for a `count`-element payload:
 /// at least [`CHUNK_BYTES`] worth, grown so the chunk count never
@@ -106,7 +156,7 @@ fn n_chunks(count: usize, chunk: usize) -> usize {
 /// guarantees it); `root`/`me` are positions into `members`.
 pub(crate) async fn chunked_bcast<T: Datatype>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: Option<&[T]>,
     root: usize,
@@ -125,10 +175,10 @@ pub(crate) async fn chunked_bcast<T: Datatype>(
     let prev = if chain_idx == 0 {
         None
     } else {
-        Some(members[(me + p - 1) % p])
+        Some(members.at((me + p - 1) % p))
     };
     let next = if chain_idx + 1 < p {
-        Some(members[(me + 1) % p])
+        Some(members.at((me + 1) % p))
     } else {
         None
     };
@@ -164,13 +214,13 @@ pub(crate) async fn chunked_bcast<T: Datatype>(
 }
 
 /// Pipelined binomial-tree reduction: same tree and the same
-/// per-element fold order as the flat `reduce_tree`, with the
+/// per-element fold order as the flat [`tree_reduce`], with the
 /// accumulator streamed upward chunk by chunk (tag
 /// `base + c*16 + round`). Bit-identical to the flat reduction for every
 /// operator and element type. Returns `Some` only at `root`.
 pub(crate) async fn chunked_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: &[T],
     root: usize,
@@ -191,12 +241,12 @@ pub(crate) async fn chunked_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
     let mut round = 0u64;
     while mask < p {
         if vrank & mask != 0 {
-            parent = Some((members[(vrank - mask + root) % p], round));
+            parent = Some((members.at((vrank - mask + root) % p), round));
             break;
         }
         let child = vrank + mask;
         if child < p {
-            children.push((members[(child + root) % p], round));
+            children.push((members.at((child + root) % p), round));
         }
         mask <<= 1;
         round += 1;
@@ -245,10 +295,10 @@ pub(crate) struct HierTopo {
 }
 
 impl HierTopo {
-    pub(crate) fn build(comm: &Comm, members: &[usize], me: usize, root: usize) -> HierTopo {
+    pub(crate) fn build(comm: &Comm, members: Members<'_>, me: usize, root: usize) -> HierTopo {
         let nodes: Vec<usize> = {
             let placement = comm.cost_model().placement();
-            members.iter().map(|&r| placement.node_of(r)).collect()
+            members.iter().map(|r| placement.node_of(r)).collect()
         };
         let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, &node) in nodes.iter().enumerate() {
@@ -273,30 +323,20 @@ impl HierTopo {
         }
     }
 
-    /// Number of distinct nodes hosting the participants.
-    pub(crate) fn n_nodes(comm: &Comm, members: &[usize]) -> usize {
-        let placement = comm.cost_model().placement();
-        members
-            .iter()
-            .map(|&r| placement.node_of(r))
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
-    }
-
     fn my_leader(&self) -> usize {
         self.leaders[self.my_group]
     }
 
     /// World ranks of the leaders, in group order.
-    fn leaders_world(&self, members: &[usize]) -> Vec<usize> {
-        self.leaders.iter().map(|&p| members[p]).collect()
+    fn leaders_world(&self, members: Members<'_>) -> Vec<usize> {
+        self.leaders.iter().map(|&p| members.at(p)).collect()
     }
 
     /// World ranks of my group's members, in position order.
-    fn group_world(&self, members: &[usize]) -> Vec<usize> {
+    fn group_world(&self, members: Members<'_>) -> Vec<usize> {
         self.groups[self.my_group]
             .iter()
-            .map(|&p| members[p])
+            .map(|&p| members.at(p))
             .collect()
     }
 
@@ -331,88 +371,217 @@ impl HierTopo {
 /// Binomial-tree broadcast of an already-encoded payload over an
 /// arbitrary world-rank list; `me`/`root` are indices into `list`.
 /// Returns the payload this rank ends up holding.
-pub(crate) async fn tree_bcast_bytes<T: Datatype>(
-    comm: &mut Comm<'_>,
-    list: &[usize],
+pub(crate) fn tree_bcast_bytes<'a, 'w, T: Datatype>(
+    comm: &'a mut Comm<'w>,
+    list: Members<'a>,
     me: usize,
     root: usize,
     base: u64,
     mut payload: Bytes,
-) -> Result<Bytes> {
-    let p = list.len();
-    let vrank = (me + p - root) % p;
-    let mut mask = 1usize;
-    let mut recv_bit = 0u64;
-    while mask < p {
-        if vrank & mask != 0 {
-            let parent = list[(vrank - mask + root) % p];
-            payload = comm
-                .coll_recv_raw::<T>(parent, base + recv_bit)
-                .await?
-                .payload;
-            break;
+) -> impl Future<Output = Result<Bytes>> + use<'a, 'w, T> {
+    async move {
+        let p = list.len();
+        let vrank = (me + p - root) % p;
+        let mut mask = 1usize;
+        let mut recv_bit = 0u64;
+        while mask < p {
+            if vrank & mask != 0 {
+                let parent = list.at((vrank - mask + root) % p);
+                payload = comm
+                    .coll_recv_raw::<T>(parent, base + recv_bit)
+                    .await?
+                    .payload;
+                break;
+            }
+            mask <<= 1;
+            recv_bit += 1;
         }
-        mask <<= 1;
-        recv_bit += 1;
-    }
-    if vrank == 0 {
-        mask = p.next_power_of_two();
-    }
-    let mut bit = mask >> 1;
-    while bit > 0 {
-        if vrank + bit < p {
-            let child = list[(vrank + bit + root) % p];
-            comm.coll_send_bytes(
-                payload.clone(),
-                T::NAME,
-                T::SIZE,
-                child,
-                base + bit.trailing_zeros() as u64,
-            )?;
+        if vrank == 0 {
+            mask = p.next_power_of_two();
         }
-        bit >>= 1;
+        let mut bit = mask >> 1;
+        while bit > 0 {
+            if vrank + bit < p {
+                let child = list.at((vrank + bit + root) % p);
+                comm.coll_send_bytes(
+                    payload.clone(),
+                    T::NAME,
+                    T::SIZE,
+                    child,
+                    base + bit.trailing_zeros() as u64,
+                )?;
+            }
+            bit >>= 1;
+        }
+        Ok(payload)
     }
-    Ok(payload)
 }
 
 /// Binomial-tree reduction over an arbitrary world-rank list; returns
 /// `Some` only at `root` (an index into `list`).
-async fn tree_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
-    comm: &mut Comm<'_>,
-    list: &[usize],
+pub(crate) fn tree_reduce<'a, 'w, T: Datatype, F: Fn(&T, &T) -> T>(
+    comm: &'a mut Comm<'w>,
+    list: Members<'a>,
     me: usize,
     root: usize,
     base: u64,
-    data: &[T],
-    combine: &F,
-) -> Result<Option<Vec<T>>> {
-    let p = list.len();
-    let vrank = (me + p - root) % p;
-    let mut acc = data.to_vec();
-    let mut mask = 1usize;
-    let mut round = 0u64;
-    while mask < p {
-        if vrank & mask != 0 {
-            let parent = list[(vrank - mask + root) % p];
-            comm.coll_send(&acc, parent, base + round)?;
+    data: &'a [T],
+    combine: &'a F,
+) -> impl Future<Output = Result<Option<Vec<T>>>> + use<'a, 'w, T, F> {
+    async move {
+        let p = list.len();
+        let vrank = (me + p - root) % p;
+        let mut acc = data.to_vec();
+        let mut mask = 1usize;
+        let mut round = 0u64;
+        while mask < p {
+            if vrank & mask != 0 {
+                let parent = list.at((vrank - mask + root) % p);
+                comm.coll_send(&acc, parent, base + round)?;
+                return Ok(None);
+            }
+            let child = vrank + mask;
+            if child < p {
+                let part = comm
+                    .coll_recv::<T>(list.at((child + root) % p), base + round)
+                    .await?;
+                if part.len() != acc.len() {
+                    return Err(Error::InvalidArgument(
+                        "reduce contributions differ in length".into(),
+                    ));
+                }
+                fold_into(&mut acc, &part, combine);
+            }
+            mask <<= 1;
+            round += 1;
+        }
+        Ok(Some(acc))
+    }
+}
+
+/// Flat broadcast of `data`, which only `root` supplies: the root encodes
+/// once, interior nodes of the binomial tree relay the refcounted
+/// payload, and every other participant decodes once.
+pub(crate) fn tree_bcast<'a, 'w, T: Datatype>(
+    comm: &'a mut Comm<'w>,
+    members: Members<'a>,
+    me: usize,
+    data: Option<&'a [T]>,
+    root: usize,
+    base: u64,
+) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'w, T> {
+    async move {
+        let payload = data.map_or_else(Bytes::new, encode_slice);
+        let payload = tree_bcast_bytes::<T>(comm, members, me, root, base, payload).await?;
+        Ok(match data {
+            Some(d) => d.to_vec(),
+            None => decode_vec(&payload),
+        })
+    }
+}
+
+/// Flat barrier (dissemination): in round `r` every participant signals
+/// the one `2^r` positions ahead and waits for the one `2^r` behind.
+pub(crate) fn dissemination_barrier<'a, 'w>(
+    comm: &'a mut Comm<'w>,
+    members: Members<'a>,
+    me: usize,
+    base: u64,
+) -> impl Future<Output = Result<()>> + use<'a, 'w> {
+    async move {
+        let p = members.len();
+        let mut dist = 1usize;
+        let mut round = 0u64;
+        while dist < p {
+            let to = members.at((me + dist) % p);
+            let from = members.at((me + p - dist) % p);
+            comm.coll_send::<u8>(&[], to, base + round)?;
+            let _ = comm.coll_recv::<u8>(from, base + round).await?;
+            dist <<= 1;
+            round += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Flat gather: every participant sends its block straight to `root`,
+/// which concatenates them in participant order.
+pub(crate) fn flat_gather<'a, 'w, T: Datatype>(
+    comm: &'a mut Comm<'w>,
+    members: Members<'a>,
+    me: usize,
+    data: &'a [T],
+    root: usize,
+    base: u64,
+) -> impl Future<Output = Result<Option<Vec<T>>>> + use<'a, 'w, T> {
+    async move {
+        if me != root {
+            comm.coll_send(data, members.at(root), base)?;
             return Ok(None);
         }
-        let child = vrank + mask;
-        if child < p {
-            let part = comm
-                .coll_recv::<T>(list[(child + root) % p], base + round)
-                .await?;
-            if part.len() != acc.len() {
-                return Err(Error::InvalidArgument(
-                    "reduce contributions differ in length".into(),
-                ));
+        let expect = data.len();
+        let mut out = Vec::with_capacity(expect * members.len());
+        for idx in 0..members.len() {
+            let part = if idx == root {
+                data.to_vec()
+            } else {
+                comm.coll_recv::<T>(members.at(idx), base).await?
+            };
+            if part.len() != expect {
+                return Err(Error::InvalidArgument(format!(
+                    "gather contributions differ in length ({} vs {expect}); use gatherv",
+                    part.len()
+                )));
             }
-            fold_into(&mut acc, &part, combine);
+            out.extend_from_slice(&part);
         }
-        mask <<= 1;
-        round += 1;
+        Ok(Some(out))
     }
-    Ok(Some(acc))
+}
+
+/// Allreduce as reduce-to-participant-0 then broadcast, both phases under
+/// `algo`, with `bases` the two phases' tag bases. The non-flat phases
+/// run boxed, like every non-flat arm, so the flat path's future stays
+/// small.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn allreduce<'a, 'w, T: Datatype, F: Fn(&T, &T) -> T>(
+    comm: &'a mut Comm<'w>,
+    members: Members<'a>,
+    me: usize,
+    algo: CollAlgo,
+    data: &'a [T],
+    bases: (u64, u64),
+    combine: &'a F,
+) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'w, T, F> {
+    async move {
+        let (rbase, bbase) = bases;
+        match algo {
+            CollAlgo::Flat => {
+                let reduced = tree_reduce(comm, members, me, 0, rbase, data, combine).await?;
+                tree_bcast(comm, members, me, reduced.as_deref(), 0, bbase).await
+            }
+            CollAlgo::Chunked => {
+                let reduced =
+                    Box::pin(chunked_reduce(comm, members, me, data, 0, rbase, combine)).await?;
+                let count = data.len();
+                Box::pin(chunked_bcast(
+                    comm,
+                    members,
+                    me,
+                    reduced.as_deref(),
+                    0,
+                    count,
+                    bbase,
+                ))
+                .await
+            }
+            CollAlgo::Hierarchical => {
+                let reduced =
+                    Box::pin(hier_reduce(comm, members, me, data, 0, rbase, combine)).await?;
+                Box::pin(hier_bcast(comm, members, me, reduced.as_deref(), 0, bbase)).await
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -423,16 +592,16 @@ async fn tree_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
 /// barrier among leaders over the inter-node links, intra-node release.
 pub(crate) async fn hier_barrier(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     base: u64,
 ) -> Result<()> {
     let topo = HierTopo::build(comm, members, me, 0);
     let leader = topo.my_leader();
     if me != leader {
-        comm.coll_send::<u8>(&[], members[leader], base + T_INTRA_FANIN)?;
+        comm.coll_send::<u8>(&[], members.at(leader), base + T_INTRA_FANIN)?;
         let _ = comm
-            .coll_recv::<u8>(members[leader], base + T_INTRA_RELEASE)
+            .coll_recv::<u8>(members.at(leader), base + T_INTRA_RELEASE)
             .await?;
         return Ok(());
     }
@@ -440,7 +609,7 @@ pub(crate) async fn hier_barrier(
     for &pos in &my_members {
         if pos != me {
             let _ = comm
-                .coll_recv::<u8>(members[pos], base + T_INTRA_FANIN)
+                .coll_recv::<u8>(members.at(pos), base + T_INTRA_FANIN)
                 .await?;
         }
     }
@@ -448,8 +617,8 @@ pub(crate) async fn hier_barrier(
     let mut dist = 1usize;
     let mut round = 0u64;
     while dist < l {
-        let to = members[topo.leaders[(topo.my_group + dist) % l]];
-        let from = members[topo.leaders[(topo.my_group + l - dist) % l]];
+        let to = members.at(topo.leaders[(topo.my_group + dist) % l]);
+        let from = members.at(topo.leaders[(topo.my_group + l - dist) % l]);
         comm.coll_send::<u8>(&[], to, base + T_INTER_BARRIER + round)?;
         let _ = comm
             .coll_recv::<u8>(from, base + T_INTER_BARRIER + round)
@@ -459,7 +628,7 @@ pub(crate) async fn hier_barrier(
     }
     for &pos in &my_members {
         if pos != me {
-            comm.coll_send::<u8>(&[], members[pos], base + T_INTRA_RELEASE)?;
+            comm.coll_send::<u8>(&[], members.at(pos), base + T_INTRA_RELEASE)?;
         }
     }
     Ok(())
@@ -470,7 +639,7 @@ pub(crate) async fn hier_barrier(
 /// crosses each inter-node link exactly once.
 pub(crate) async fn hier_bcast<T: Datatype>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: Option<&[T]>,
     root: usize,
@@ -490,7 +659,7 @@ pub(crate) async fn hier_bcast<T: Datatype>(
         let root_g = topo.root_group(root);
         payload = tree_bcast_bytes::<T>(
             comm,
-            &leaders,
+            Members::Sub(&leaders),
             topo.my_group,
             root_g,
             base + T_INTER_TREE,
@@ -501,7 +670,7 @@ pub(crate) async fn hier_bcast<T: Datatype>(
     let group = topo.group_world(members);
     payload = tree_bcast_bytes::<T>(
         comm,
-        &group,
+        Members::Sub(&group),
         topo.idx_in_group(me),
         topo.idx_in_group(leader),
         base + T_INTRA_TREE,
@@ -521,7 +690,7 @@ pub(crate) async fn hier_bcast<T: Datatype>(
 /// element type. Returns `Some` only at `root`.
 pub(crate) async fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: &[T],
     root: usize,
@@ -533,7 +702,7 @@ pub(crate) async fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
     let group = topo.group_world(members);
     let local = tree_reduce(
         comm,
-        &group,
+        Members::Sub(&group),
         topo.idx_in_group(me),
         topo.idx_in_group(leader),
         base + T_INTRA_TREE,
@@ -548,7 +717,7 @@ pub(crate) async fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
     let root_g = topo.root_group(root);
     tree_reduce(
         comm,
-        &leaders,
+        Members::Sub(&leaders),
         topo.my_group,
         root_g,
         base + T_INTER_TREE,
@@ -563,7 +732,7 @@ pub(crate) async fn hier_reduce<T: Datatype, F: Fn(&T, &T) -> T>(
 /// bundles cross the inter-node links to the root.
 pub(crate) async fn hier_gather<T: Datatype>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: &[T],
     root: usize,
@@ -573,7 +742,7 @@ pub(crate) async fn hier_gather<T: Datatype>(
     let leader = topo.my_leader();
     let blk = data.len() * T::SIZE;
     if me != leader {
-        comm.coll_send(data, members[leader], base + T_INTRA_FANIN)?;
+        comm.coll_send(data, members.at(leader), base + T_INTRA_FANIN)?;
         return Ok(None);
     }
     let mut bundle: Vec<u8> = Vec::with_capacity(blk * topo.groups[topo.my_group].len());
@@ -583,7 +752,7 @@ pub(crate) async fn hier_gather<T: Datatype>(
             bundle.extend_from_slice(&encode_slice(data));
         } else {
             let env = comm
-                .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                .coll_recv_raw::<T>(members.at(pos), base + T_INTRA_FANIN)
                 .await?;
             if env.payload.len() != blk {
                 return Err(Error::InvalidArgument(format!(
@@ -600,7 +769,7 @@ pub(crate) async fn hier_gather<T: Datatype>(
             Bytes::from(bundle),
             T::NAME,
             T::SIZE,
-            members[root],
+            members.at(root),
             base + T_INTER_BUNDLE,
         )?;
         return Ok(None);
@@ -616,7 +785,7 @@ pub(crate) async fn hier_gather<T: Datatype>(
             continue;
         }
         let env = comm
-            .coll_recv_raw::<T>(members[topo.leaders[g]], base + T_INTER_BUNDLE)
+            .coll_recv_raw::<T>(members.at(topo.leaders[g]), base + T_INTER_BUNDLE)
             .await?;
         if env.payload.len() != blk * grp.len() {
             return Err(Error::InvalidArgument(
@@ -640,7 +809,7 @@ pub(crate) async fn hier_gather<T: Datatype>(
 /// broadcast delivers it.
 pub(crate) async fn hier_allgather<T: Datatype>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: &[T],
     base: u64,
@@ -651,7 +820,7 @@ pub(crate) async fn hier_allgather<T: Datatype>(
     let n = members.len();
     let mut payload = Bytes::new();
     if me != leader {
-        comm.coll_send(data, members[leader], base + T_INTRA_FANIN)?;
+        comm.coll_send(data, members.at(leader), base + T_INTRA_FANIN)?;
     } else {
         let my_members: Vec<usize> = topo.groups[topo.my_group].clone();
         let mut bundle: Vec<u8> = Vec::with_capacity(blk * my_members.len());
@@ -660,7 +829,7 @@ pub(crate) async fn hier_allgather<T: Datatype>(
                 bundle.extend_from_slice(&encode_slice(data));
             } else {
                 let env = comm
-                    .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                    .coll_recv_raw::<T>(members.at(pos), base + T_INTRA_FANIN)
                     .await?;
                 if env.payload.len() != blk {
                     return Err(Error::InvalidArgument(
@@ -673,8 +842,8 @@ pub(crate) async fn hier_allgather<T: Datatype>(
         let l = topo.groups.len();
         let mut bundles: Vec<Option<Bytes>> = (0..l).map(|_| None).collect();
         bundles[topo.my_group] = Some(Bytes::from(bundle));
-        let right = members[topo.leaders[(topo.my_group + 1) % l]];
-        let left = members[topo.leaders[(topo.my_group + l - 1) % l]];
+        let right = members.at(topo.leaders[(topo.my_group + 1) % l]);
+        let left = members.at(topo.leaders[(topo.my_group + l - 1) % l]);
         for k in 0..l.saturating_sub(1) {
             let tag = base + T_INTER_RING + (k as u64 % 64);
             let send_b = (topo.my_group + l - k) % l;
@@ -703,7 +872,7 @@ pub(crate) async fn hier_allgather<T: Datatype>(
     let group = topo.group_world(members);
     payload = tree_bcast_bytes::<T>(
         comm,
-        &group,
+        Members::Sub(&group),
         topo.idx_in_group(me),
         topo.idx_in_group(leader),
         base + T_INTRA_TREE,
@@ -747,7 +916,7 @@ fn push_frame(buf: &mut Vec<u8>, block: &[u8]) {
 /// wire, since a framed bundle is not a whole number of `T`s).
 pub(crate) async fn hier_allgatherv<T: Datatype>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: &[T],
     base: u64,
@@ -757,7 +926,7 @@ pub(crate) async fn hier_allgatherv<T: Datatype>(
     let n = members.len();
     let mut payload = Bytes::new();
     if me != leader {
-        comm.coll_send(data, members[leader], base + T_INTRA_FANIN)?;
+        comm.coll_send(data, members.at(leader), base + T_INTRA_FANIN)?;
     } else {
         let my_members: Vec<usize> = topo.groups[topo.my_group].clone();
         let mut bundle: Vec<u8> = Vec::new();
@@ -766,7 +935,7 @@ pub(crate) async fn hier_allgatherv<T: Datatype>(
                 push_frame(&mut bundle, &encode_slice(data));
             } else {
                 let env = comm
-                    .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                    .coll_recv_raw::<T>(members.at(pos), base + T_INTRA_FANIN)
                     .await?;
                 push_frame(&mut bundle, &env.payload);
             }
@@ -774,8 +943,8 @@ pub(crate) async fn hier_allgatherv<T: Datatype>(
         let l = topo.groups.len();
         let mut bundles: Vec<Option<Bytes>> = (0..l).map(|_| None).collect();
         bundles[topo.my_group] = Some(Bytes::from(bundle));
-        let right = members[topo.leaders[(topo.my_group + 1) % l]];
-        let left = members[topo.leaders[(topo.my_group + l - 1) % l]];
+        let right = members.at(topo.leaders[(topo.my_group + 1) % l]);
+        let left = members.at(topo.leaders[(topo.my_group + l - 1) % l]);
         for k in 0..l.saturating_sub(1) {
             let tag = base + T_INTER_RING + (k as u64 % 64);
             let send_b = (topo.my_group + l - k) % l;
@@ -803,7 +972,7 @@ pub(crate) async fn hier_allgatherv<T: Datatype>(
     let group = topo.group_world(members);
     payload = tree_bcast_bytes::<u8>(
         comm,
-        &group,
+        Members::Sub(&group),
         topo.idx_in_group(me),
         topo.idx_in_group(leader),
         base + T_INTRA_TREE,
@@ -821,7 +990,7 @@ pub(crate) async fn hier_allgatherv<T: Datatype>(
 /// message per node pair instead of one per rank pair.
 pub(crate) async fn hier_alltoall<T: Datatype>(
     comm: &mut Comm<'_>,
-    members: &[usize],
+    members: Members<'_>,
     me: usize,
     data: &[T],
     base: u64,
@@ -833,9 +1002,9 @@ pub(crate) async fn hier_alltoall<T: Datatype>(
     let topo = HierTopo::build(comm, members, me, 0);
     let leader = topo.my_leader();
     if me != leader {
-        comm.coll_send(data, members[leader], base + T_INTRA_FANIN)?;
+        comm.coll_send(data, members.at(leader), base + T_INTRA_FANIN)?;
         let env = comm
-            .coll_recv_raw::<T>(members[leader], base + T_INTRA_RESULT)
+            .coll_recv_raw::<T>(members.at(leader), base + T_INTRA_RESULT)
             .await?;
         return Ok(decode_vec(&env.payload));
     }
@@ -848,7 +1017,7 @@ pub(crate) async fn hier_alltoall<T: Datatype>(
             rows.push(encode_slice(data));
         } else {
             let env = comm
-                .coll_recv_raw::<T>(members[pos], base + T_INTRA_FANIN)
+                .coll_recv_raw::<T>(members.at(pos), base + T_INTRA_FANIN)
                 .await?;
             if env.payload.len() != blk * n {
                 return Err(Error::InvalidArgument(
@@ -873,7 +1042,7 @@ pub(crate) async fn hier_alltoall<T: Datatype>(
             Bytes::from(bundle),
             T::NAME,
             T::SIZE,
-            members[topo.leaders[d]],
+            members.at(topo.leaders[d]),
             base + T_INTER_BUNDLE,
         )?;
     }
@@ -881,7 +1050,7 @@ pub(crate) async fn hier_alltoall<T: Datatype>(
     for off in 1..l {
         let g = (topo.my_group + l - off) % l;
         let env = comm
-            .coll_recv_raw::<T>(members[topo.leaders[g]], base + T_INTER_BUNDLE)
+            .coll_recv_raw::<T>(members.at(topo.leaders[g]), base + T_INTER_BUNDLE)
             .await?;
         if env.payload.len() != topo.groups[g].len() * m * blk {
             return Err(Error::InvalidArgument(
@@ -911,7 +1080,7 @@ pub(crate) async fn hier_alltoall<T: Datatype>(
                 Bytes::from(res),
                 T::NAME,
                 T::SIZE,
-                members[q],
+                members.at(q),
                 base + T_INTRA_RESULT,
             )?;
         }

@@ -27,7 +27,7 @@
 //! clocks, `CommStats`, and checker logs byte-identical across backends.
 
 use crate::check::CallSite;
-use crate::comm::{Comm, RecvRequest, SendRequest};
+use crate::comm::{Comm, Group, RecvRequest, SendRequest};
 use crate::datatype::Datatype;
 use crate::envelope::{SourceSel, Status, TagSel};
 use crate::error::Result;
@@ -321,7 +321,8 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
     /// `MPI_Barrier`. See [`Comm::barrier`].
     #[track_caller]
     pub fn barrier<'a>(&'a mut self) -> impl Future<Output = Result<()>> + use<'a, 'c, 'w> {
-        self.comm.barrier_dispatch(None, CallSite::here())
+        self.comm
+            .barrier_dispatch(Group::World, None, CallSite::here())
     }
 
     /// `MPI_Bcast`. See [`Comm::bcast`].
@@ -331,7 +332,8 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         data: Option<&'a [T]>,
         root: usize,
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
-        self.comm.bcast_dispatch(data, root, None, CallSite::here())
+        self.comm
+            .bcast_dispatch(Group::World, data, root, None, CallSite::here())
     }
 
     /// `MPI_Scatter`. See [`Comm::scatter`].
@@ -372,7 +374,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         root: usize,
     ) -> impl Future<Output = Result<Option<Vec<T>>>> + use<'a, 'c, 'w, T> {
         self.comm
-            .reduce_op_dispatch(data, op, root, None, CallSite::here())
+            .reduce_op_dispatch(Group::World, data, op, root, None, CallSite::here())
     }
 
     /// `MPI_Allreduce` with a built-in operator. See [`Comm::allreduce`].
@@ -383,7 +385,7 @@ impl<'c, 'w: 'c> StepComm<'c, 'w> {
         op: Op,
     ) -> impl Future<Output = Result<Vec<T>>> + use<'a, 'c, 'w, T> {
         self.comm
-            .allreduce_op_dispatch(data, op, None, CallSite::here())
+            .allreduce_op_dispatch(Group::World, data, op, None, CallSite::here())
     }
 
     /// `MPIX_Comm_agree` analogue. See [`Comm::agree`].

@@ -877,7 +877,7 @@ mod tests {
         // The bug this key fixes: at identical (op, bytes, ranks, nodes),
         // the placement policy alone must be able to flip the selected
         // algorithm. Layouts are derived from real placements through
-        // `Placement::node_of`, exactly as `Comm::resolve_algo` does.
+        // `Placement::node_of`, exactly as `Comm::select` does for the world.
         let t = TuningTable {
             machine_class: CI_MACHINE_CLASS.into(),
             version: 2,

@@ -327,7 +327,8 @@ fn checked_in_table_selects_by_placement_policy() {
 fn subcomm_collectives_unchanged_by_tuning() {
     // Split 24r/4n into two colors (even/odd world ranks, interleaved
     // across nodes) and run the sub-collectives tuned and untuned: the
-    // bytes must match bit-for-bit.
+    // bytes must match bit-for-bit. `sub_gather` and `sub_reduce_with`
+    // consult the table like the others, so they are covered too.
     let run = |t: Option<TuningTable>| {
         let mut cfg = world(24, 4, 0);
         if let Some(t) = t {
@@ -342,9 +343,11 @@ fn subcomm_collectives_unchanged_by_tuning() {
             let b = comm.sub_bcast(&mut sc, root_data, 0)?;
             let s = comm.sub_allreduce(&mut sc, &f, Op::Sum)?;
             let r = comm.sub_reduce(&mut sc, &f, Op::Max, 0)?;
+            let w = comm.sub_reduce_with(&mut sc, &f, 0, |a, b| a + b)?;
+            let g = comm.sub_gather(&mut sc, &f, 0)?;
             let mut bits: Vec<u64> = b.iter().chain(s.iter()).map(|x| x.to_bits()).collect();
-            if let Some(r) = r {
-                bits.extend(r.iter().map(|x| x.to_bits()));
+            for rooted in [r, w, g].into_iter().flatten() {
+                bits.extend(rooted.iter().map(|x| x.to_bits()));
             }
             Ok(bits)
         })
@@ -352,4 +355,122 @@ fn subcomm_collectives_unchanged_by_tuning() {
         .values
     };
     assert_eq!(run(Some(table())), run(None));
+}
+
+/// One collective of the whole-world differential test below.
+#[derive(Debug, Clone, Copy)]
+enum Coll {
+    Barrier,
+    Bcast,
+    ReduceMax,
+    ReduceSum,
+    ReduceWith,
+    AllreduceSum,
+    AllreduceMax,
+    AllreduceWith,
+    Gather,
+}
+
+/// Root of every rooted collective in the differential test (non-zero,
+/// so the binomial trees rotate).
+const DIFF_ROOT: usize = 1;
+
+/// What one rank observed across one collective: the result as raw bits
+/// (`None` for a non-root's rooted result), and the simulated-clock,
+/// `msgs_sent` and `bytes_sent` deltas.
+type Observed = (Option<Vec<u64>>, u64, u64, u64);
+
+/// Split the whole world with one color (`split(0, rank)` keeps world
+/// order), then run `coll` either on the world (`sub = false`) or on the
+/// split (`sub = true`), recording what each rank observed.
+fn run_whole_world(
+    ranks: usize,
+    nodes: usize,
+    tuned: bool,
+    len: usize,
+    coll: Coll,
+    sub: bool,
+) -> Vec<Observed> {
+    let mut cfg = world(ranks, nodes, 0);
+    if tuned {
+        cfg = cfg.with_tuning(table());
+    }
+    let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    World::run(cfg, move |comm| {
+        let mut sc = comm.split(0, comm.rank() as i64)?;
+        let f = f64_payload(comm.rank(), len);
+        let root_data = (comm.rank() == DIFF_ROOT).then_some(&f[..]);
+        let add = |a: &f64, b: &f64| a + b;
+        let (t0, m0, b0) = (
+            comm.sim_time(),
+            comm.stats().msgs_sent,
+            comm.stats().bytes_sent,
+        );
+        let got: Option<Vec<f64>> = match (coll, sub) {
+            (Coll::Barrier, false) => comm.barrier().map(|()| Some(Vec::new()))?,
+            (Coll::Barrier, true) => comm.sub_barrier(&mut sc).map(|()| Some(Vec::new()))?,
+            (Coll::Bcast, false) => Some(comm.bcast(root_data, DIFF_ROOT)?),
+            (Coll::Bcast, true) => Some(comm.sub_bcast(&mut sc, root_data, DIFF_ROOT)?),
+            (Coll::ReduceMax, false) => comm.reduce(&f, Op::Max, DIFF_ROOT)?,
+            (Coll::ReduceMax, true) => comm.sub_reduce(&mut sc, &f, Op::Max, DIFF_ROOT)?,
+            (Coll::ReduceSum, false) => comm.reduce(&f, Op::Sum, DIFF_ROOT)?,
+            (Coll::ReduceSum, true) => comm.sub_reduce(&mut sc, &f, Op::Sum, DIFF_ROOT)?,
+            (Coll::ReduceWith, false) => comm.reduce_with(&f, DIFF_ROOT, add)?,
+            (Coll::ReduceWith, true) => comm.sub_reduce_with(&mut sc, &f, DIFF_ROOT, add)?,
+            (Coll::AllreduceSum, false) => Some(comm.allreduce(&f, Op::Sum)?),
+            (Coll::AllreduceSum, true) => Some(comm.sub_allreduce(&mut sc, &f, Op::Sum)?),
+            (Coll::AllreduceMax, false) => Some(comm.allreduce(&f, Op::Max)?),
+            (Coll::AllreduceMax, true) => Some(comm.sub_allreduce(&mut sc, &f, Op::Max)?),
+            (Coll::AllreduceWith, false) => Some(comm.allreduce_with(&f, add)?),
+            // No sub-communicator twin takes a custom combiner; a float
+            // `Sum` runs under the same re-association gate (never
+            // hierarchical) and folds with the same `+`.
+            (Coll::AllreduceWith, true) => Some(comm.sub_allreduce(&mut sc, &f, Op::Sum)?),
+            (Coll::Gather, false) => comm.gather(&f, DIFF_ROOT)?,
+            (Coll::Gather, true) => comm.sub_gather(&mut sc, &f, DIFF_ROOT)?,
+        };
+        Ok((
+            got.map(bits),
+            (comm.sim_time() - t0).to_bits(),
+            comm.stats().msgs_sent - m0,
+            comm.stats().bytes_sent - b0,
+        ))
+    })
+    .expect("world")
+    .values
+}
+
+#[test]
+fn whole_world_split_matches_world_collectives() {
+    // A sub-communicator holding every rank in world order is the world:
+    // each sub-collective must match its world call in results, in every
+    // rank's simulated time to the bit, and in the messages and bytes it
+    // sends, tuned (the table keys on the same ranks, nodes and layout)
+    // and untuned. (3, 4) leaves a node empty.
+    let colls = [
+        Coll::Barrier,
+        Coll::Bcast,
+        Coll::ReduceMax,
+        Coll::ReduceSum,
+        Coll::ReduceWith,
+        Coll::AllreduceSum,
+        Coll::AllreduceMax,
+        Coll::AllreduceWith,
+        Coll::Gather,
+    ];
+    for (ranks, nodes) in [(8, 4), (32, 4), (5, 2), (3, 4)] {
+        for tuned in [false, true] {
+            for len in [1, BIG] {
+                for coll in colls {
+                    let world = run_whole_world(ranks, nodes, tuned, len, coll, false);
+                    let sub = run_whole_world(ranks, nodes, tuned, len, coll, true);
+                    assert_eq!(
+                        sub, world,
+                        "{coll:?} on split(0, rank) diverged from the world call \
+                         at {ranks}r/{nodes}n, tuned {tuned}, {len} f64"
+                    );
+                }
+            }
+        }
+    }
 }
