@@ -6,8 +6,9 @@
 //! ```
 //!
 //! The server drains gracefully on SIGTERM/SIGINT (or `POST /shutdown`):
-//! it stops accepting connections, lets queued and running jobs finish,
-//! flushes the cache directory, then exits 0.
+//! it refuses new work with 503, lets queued and running jobs finish
+//! while still answering `/stats` and `/jobs`, stops its HTTP workers,
+//! then exits 0.
 
 use pdc_lab::server::{self, LabConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
